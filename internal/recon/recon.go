@@ -7,6 +7,8 @@
 package recon
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"traceback/internal/module"
@@ -179,9 +181,6 @@ type bufferPlan struct {
 // which is what lets the pipeline mine buffers concurrently.
 func mineBuffer(b *snap.BufferDump) bufferPlan {
 	var plan bufferPlan
-	// Decode the raw words once; every helper below works on the
-	// shared read-only slice.
-	words := b.Words()
 	switch b.Kind {
 	case snap.BufProbation:
 		return plan
@@ -189,26 +188,24 @@ func mineBuffer(b *snap.BufferDump) bufferPlan {
 		if !b.LastKnown {
 			// Shared unsynchronized writes are unrecoverable —
 			// but an untouched desperation buffer is just empty.
-			if b.OwnerTID != 0 || hasData(words) {
+			if b.OwnerTID != 0 || hasData(b.Raw) {
 				plan.unrecoverable++
 			}
 			return plan
 		}
 	}
-	span, truncated, ok := logicalSpan(b, words)
+	recs, truncated, ok := MineBuffer(b)
 	if !ok {
 		if b.OwnerTID != 0 {
 			plan.unrecoverable++
 		}
 		return plan
 	}
-	recs := trace.MineBackward(span)
 	if len(recs) == 0 {
 		return plan
 	}
 	plan.truncated = truncated
 	plan.recordsMined = len(recs)
-	trace.Reverse(recs) // oldest first
 	plan.segs = splitByThread(recs, b.OwnerTID)
 	return plan
 }
@@ -241,87 +238,163 @@ func lineForAddr(s *snap.Snap, maps MapResolver, addr uint64) (mod, file string,
 	return mi.Name, "", 0, false
 }
 
-// hasData reports whether any non-sentinel word was ever written.
-func hasData(words []trace.Word) bool {
-	for _, w := range words {
-		if w != trace.Invalid && w != trace.Sentinel {
-			return true
-		}
-	}
-	return false
-}
-
-// logicalSpan rotates a buffer into oldest-to-newest order with the
-// sub-buffer boundary sentinels removed BY POSITION (paper §4.1:
+// MineBuffer mines one buffer dump straight off its raw bytes and
+// returns its records oldest first. The buffer is read as its logical
+// span: the ring rotated so the newest record ends it, with the
+// sub-buffer boundary slots removed BY POSITION (paper §4.1:
 // boundaries are removed to produce a contiguous span; stripping by
 // value would destroy payload words that happen to equal the sentinel
 // pattern, e.g. the high half of a large timestamp). For a known
 // write pointer the newest record is at LastPtr; otherwise the
 // committed-sub-buffer header plus the zeroed-frontier scan recovers
 // the dead thread's progress (paper §3.2).
-func logicalSpan(b *snap.BufferDump, words []trace.Word) (span []trace.Word, truncated bool, ok bool) {
-	if len(words) == 0 {
+//
+// Only the words the miner visits are decoded, so the cost follows the
+// live records, not the buffer's capacity; the remaining O(capacity)
+// work is plain byte scans for zero words. truncated reports that the
+// buffer wrapped and lost older history (false when nothing was
+// mined); ok is false when the buffer has no recoverable span.
+func MineBuffer(b *snap.BufferDump) (recs []trace.Record, truncated, ok bool) {
+	n := len(b.Raw) / 4
+	sub := int(b.SubWords)
+	var newest int
+	switch {
+	case n == 0:
 		return nil, false, false
-	}
-	newest := -1
-	if b.LastKnown {
+	case b.LastKnown:
 		newest = int(b.LastPtr)
-		if newest >= len(words) {
+		if newest >= n {
 			return nil, false, false
 		}
-	} else {
-		if b.SubWords == 0 || int(b.SubWords) >= len(words) {
-			// Plain ring with no commit points and no pointer:
-			// unrecoverable.
-			return nil, false, false
-		}
-		subs := len(words) / int(b.SubWords)
-		next := (int(b.CommittedSub) + 1) % subs
-		lo := next * int(b.SubWords)
-		hi := lo + int(b.SubWords) - 1 // exclude the sentinel slot
-		for i := lo; i < hi && i < len(words); i++ {
-			if words[i] != trace.Invalid && words[i] != trace.Sentinel {
-				newest = i
-			}
-		}
-		if newest == -1 {
+	case sub == 0 || sub >= n:
+		// Plain ring with no commit points and no pointer:
+		// unrecoverable.
+		return nil, false, false
+	default:
+		lo := (int(b.CommittedSub) + 1) % (n / sub) * sub
+		// Exclude the open sub-buffer's sentinel slot.
+		newest = lastData(b.Raw, lo, min(lo+sub-1, n))
+		if newest < 0 {
 			// Nothing in the open sub-buffer: newest is the end of
 			// the committed one.
 			newest = lo - 1
 			if newest < 0 {
-				newest = len(words) - 1
+				newest = n - 1
 			}
 		}
 	}
-
-	isBoundary := func(i int) bool {
-		return b.SubWords > 0 && (i+1)%int(b.SubWords) == 0
+	// The span starts just after the newest word, which ends it.
+	sp := span{raw: b.Raw, sub: sub, n: nonBoundary(n, sub), first: nonBoundary(newest+1, sub)}
+	if sp.first == 0 {
+		return nil, false, false // only boundary slots up to newest
 	}
-	stripped := make([]trace.Word, 0, len(words))
-	newestStripped := -1
-	for i, w := range words {
-		if isBoundary(i) {
+	recs = trace.MineBackwardAt(sp.n, sp.at)
+	if len(recs) == 0 {
+		return nil, false, true
+	}
+	trace.Reverse(recs)
+	// The buffer wrapped (and thus lost history) if anything nonzero
+	// follows the newest word, i.e. precedes the span's logical start.
+	return recs, !zeroAfter(b.Raw, newest+1, sub), true
+}
+
+// span is a buffer's logical span read in place: span index k
+// (0 oldest) is non-boundary word first+k (mod n), and non-boundary
+// word j is physical word j + j/(sub-1), skipping the boundary slot
+// that ends every sub-buffer of sub words.
+type span struct {
+	raw   []byte
+	sub   int // words per sub-buffer, boundary slot included; 0: none
+	n     int // non-boundary words
+	first int // non-boundary index of the oldest span word
+}
+
+// nonBoundary counts the non-boundary words among the first m.
+func nonBoundary(m, sub int) int {
+	if sub > 0 {
+		m -= m / sub
+	}
+	return m
+}
+
+func (s *span) at(k int) trace.Word {
+	j := s.first + k
+	if j >= s.n {
+		j -= s.n
+	}
+	if s.sub > 0 {
+		j += j / (s.sub - 1)
+	}
+	return binary.LittleEndian.Uint32(s.raw[4*j:])
+}
+
+// zeroPage is the all-Invalid block the byte scans compare against.
+var zeroPage [4096]byte
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		k := min(len(b), len(zeroPage))
+		if !bytes.Equal(b[:k], zeroPage[:k]) {
+			return false
+		}
+		b = b[k:]
+	}
+	return true
+}
+
+// isData reports whether w was written by a probe: neither a zeroed
+// slot nor a sentinel.
+func isData(w trace.Word) bool { return w != trace.Invalid && w != trace.Sentinel }
+
+// hasData reports whether any non-sentinel word was ever written.
+func hasData(raw []byte) bool {
+	for off := 0; off+4 <= len(raw); off += len(zeroPage) {
+		chunk := raw[off:min(off+len(zeroPage), len(raw)/4*4)]
+		if allZero(chunk) {
 			continue
 		}
-		if i <= newest {
-			newestStripped = len(stripped)
-		}
-		stripped = append(stripped, w)
-	}
-	if newestStripped < 0 {
-		return nil, false, false
-	}
-	span = append(span, stripped[newestStripped+1:]...)
-	span = append(span, stripped[:newestStripped+1]...)
-	// The buffer wrapped (and thus lost history) if anything nonzero
-	// precedes the newest position's logical start.
-	for _, w := range stripped[newestStripped+1:] {
-		if w != trace.Invalid {
-			truncated = true
-			break
+		for i := 0; i < len(chunk); i += 4 {
+			if isData(binary.LittleEndian.Uint32(chunk[i:])) {
+				return true
+			}
 		}
 	}
-	return span, truncated, true
+	return false
+}
+
+// lastData returns the index of the last word in [lo, hi) that holds
+// data, or -1.
+func lastData(raw []byte, lo, hi int) int {
+	for hi > lo {
+		k := max(lo, hi-len(zeroPage)/4)
+		if !allZero(raw[4*k : 4*hi]) {
+			for i := hi - 1; i >= k; i-- {
+				if isData(binary.LittleEndian.Uint32(raw[4*i:])) {
+					return i
+				}
+			}
+		}
+		hi = k
+	}
+	return -1
+}
+
+// zeroAfter reports whether every non-boundary word from index from
+// on is zero.
+func zeroAfter(raw []byte, from, sub int) bool {
+	n := len(raw) / 4
+	for from < n {
+		end := n
+		if sub > 0 {
+			end = min(n, (from/sub+1)*sub-1)
+		}
+		if !allZero(raw[4*from : 4*end]) {
+			return false
+		}
+		from = end + 1
+	}
+	return true
 }
 
 // segment is a run of records belonging to one thread.

@@ -2,7 +2,9 @@ package snap
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -43,9 +45,10 @@ func (s *Snap) SaveCompressed(w io.Writer) error {
 }
 
 // LoadAuto reads a snap in either plain-JSON or gzip form, sniffing
-// the magic bytes. Gzip input must be a single complete member:
-// truncation and trailing garbage are reported as wrapped ErrTruncated
-// / ErrTrailingData rather than raw decoder failures.
+// the magic bytes. Gzip input must be a single complete member, and
+// either form must hold exactly one document: truncation and trailing
+// garbage are reported as wrapped ErrTruncated / ErrTrailingData rather
+// than raw decoder failures.
 func LoadAuto(r io.Reader) (*Snap, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(2)
@@ -58,37 +61,65 @@ func LoadAuto(r io.Reader) (*Snap, error) {
 	if len(magic) == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
 		return loadGzip(br)
 	}
-	return Load(br)
+	s, err := Load(br)
+	if err != nil {
+		return nil, classifyErr(err)
+	}
+	return s, nil
 }
 
 func loadGzip(br *bufio.Reader) (*Snap, error) {
-	zr, err := gzip.NewReader(br)
+	// The archival form is small (a few KB per snap), so read it whole:
+	// its trailer then sizes the document buffer up front, and the
+	// bytes left after the member are plain to see.
+	z, err := io.ReadAll(br)
 	if err != nil {
-		return nil, fmt.Errorf("snap: %w", classifyGzipErr(err))
+		return nil, fmt.Errorf("snap: %w", classifyErr(err))
+	}
+	in := bytes.NewReader(z)
+	zr, err := gzip.NewReader(in)
+	if err != nil {
+		return nil, fmt.Errorf("snap: %w", classifyErr(err))
 	}
 	defer zr.Close()
 	// One member only: appended garbage (or a second member) must not
-	// be silently swallowed by gzip's multistream default.
+	// be silently swallowed by gzip's multistream default. load reads
+	// the member to its end, which checks the trailer (CRC/length)
+	// where a truncated body surfaces.
 	zr.Multistream(false)
-	s, err := Load(zr)
+	s, err := load(zr, inflatedSize(z))
 	if err != nil {
-		return nil, fmt.Errorf("gzip member: %w", classifyGzipErr(err))
+		return nil, fmt.Errorf("gzip member: %w", classifyErr(err))
 	}
-	// Drain the member to force the trailer (CRC/length) check, which
-	// is where a truncated body surfaces.
-	if _, err := io.Copy(io.Discard, zr); err != nil {
-		return nil, fmt.Errorf("snap: %w", classifyGzipErr(err))
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if in.Len() > 0 {
 		return nil, fmt.Errorf("snap: %w", ErrTrailingData)
 	}
 	return s, nil
 }
 
-// classifyGzipErr folds the decoder's raw end-of-stream errors into
-// the inspectable ErrTruncated class; anything else (bad header,
-// corrupt flate data, invalid JSON) passes through wrapped as-is.
-func classifyGzipErr(err error) error {
+// Bounds on the size hint: deflate expands its input at most maxInflate
+// times, and no hint exceeds maxSizeHint (20x a default-config snap), so
+// a few bytes claiming a huge ISIZE cannot make the reader allocate
+// far ahead of the data it actually inflates.
+const (
+	maxInflate  = 1032
+	maxSizeHint = 16 << 20
+)
+
+// inflatedSize reads a gzip member's inflated size from its trailer
+// (ISIZE, the size mod 2^32) as a capacity hint: a wrong value costs
+// buffer growth, never correctness.
+func inflatedSize(z []byte) int {
+	if len(z) < 18 { // 10-byte header + 8-byte trailer
+		return 0
+	}
+	return min(int(binary.LittleEndian.Uint32(z[len(z)-4:])), maxInflate*len(z), maxSizeHint)
+}
+
+// classifyErr folds the decoders' raw end-of-stream errors into the
+// inspectable ErrTruncated class; anything else (bad header, corrupt
+// flate data, invalid JSON) passes through wrapped as-is.
+func classifyErr(err error) error {
 	if err == nil {
 		return nil
 	}

@@ -95,3 +95,44 @@ func TestLoadAutoOneBytePlain(t *testing.T) {
 		t.Error("bare '{' misclassified as empty")
 	}
 }
+
+func TestLoadAutoPlainTrailingData(t *testing.T) {
+	_, err := LoadAuto(strings.NewReader(`{"host":"h"}garbage`))
+	if !errors.Is(err, ErrTrailingData) {
+		t.Fatalf("err = %v, want ErrTrailingData", err)
+	}
+	// Save ends its document with a newline: trailing whitespace is
+	// part of the format.
+	s, err := LoadAuto(strings.NewReader("{\"host\":\"h\"} \n\t\r\n"))
+	if err != nil {
+		t.Fatalf("trailing whitespace: %v", err)
+	}
+	if s.Host != "h" {
+		t.Fatalf("Host = %q, want h", s.Host)
+	}
+}
+
+func TestLoadAutoPlainTruncated(t *testing.T) {
+	var buf bytes.Buffer
+	if err := testSnap().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.Bytes()
+	for _, cut := range []int{1, len(doc) / 2, len(doc) - 2} {
+		_, err := LoadAuto(bytes.NewReader(doc[:cut]))
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("cut at %d: err = %v, want ErrTruncated", cut, err)
+		}
+	}
+}
+
+func TestLoadAutoGzipMemberTrailingData(t *testing.T) {
+	// Junk inside the member, after the document, is trailing data too.
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write([]byte(`{"host":"h"}garbage`))
+	zw.Close()
+	if _, err := LoadAuto(&buf); !errors.Is(err, ErrTrailingData) {
+		t.Fatalf("err = %v, want ErrTrailingData", err)
+	}
+}

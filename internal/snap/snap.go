@@ -7,6 +7,7 @@
 package snap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -192,11 +193,22 @@ func (s *Snap) Save(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Load reads a snap.
-func Load(r io.Reader) (*Snap, error) {
-	var s Snap
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+// Load reads a snap: one JSON document, optionally followed by
+// whitespace, as Save writes it. Bytes after the document fail with
+// ErrTrailingData and a document cut short with io.ErrUnexpectedEOF.
+func Load(r io.Reader) (*Snap, error) { return load(r, 0) }
+
+// load is Load with a hint of the document's size.
+func load(r io.Reader, size int) (*Snap, error) {
+	// bytes.Buffer reads until it has MinRead bytes spare, so room for
+	// the whole document plus MinRead reads it without growing.
+	doc := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := doc.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("snap: %w", err)
 	}
-	return &s, nil
+	s, err := decode(doc.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("snap: %w", err)
+	}
+	return s, nil
 }

@@ -6,6 +6,7 @@ import (
 	"traceback/internal/core"
 	"traceback/internal/isa"
 	"traceback/internal/module"
+	"traceback/internal/recon"
 	"traceback/internal/snap"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
@@ -104,9 +105,7 @@ func TestScavengeDeadThreads(t *testing.T) {
 		if b.Kind != snap.BufMain {
 			continue
 		}
-		words := b.Words()
-		span := trace.StripSentinels(words)
-		if len(trace.MineBackward(span)) > 0 {
+		if recs, _, _ := recon.MineBuffer(&b); len(recs) > 0 {
 			found = true
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"traceback/internal/core"
 	"traceback/internal/isa"
 	"traceback/internal/module"
+	"traceback/internal/recon"
 	"traceback/internal/snap"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
@@ -70,13 +71,10 @@ func mainBufferRecords(t *testing.T, s *snap.Snap, tid uint32) []trace.Record {
 		if b.Kind != snap.BufMain {
 			continue
 		}
-		words := b.Words()
 		if !b.LastKnown {
 			continue
 		}
-		span := trace.StripSentinels(words[:b.LastPtr+1])
-		recs := trace.MineBackward(span)
-		trace.Reverse(recs)
+		recs, _, _ := recon.MineBuffer(&b)
 		for _, r := range recs {
 			if r.Kind == trace.KindThreadStart {
 				if ev, err := trace.DecodeThreadEvent(r); err == nil && ev.TID == tid {
@@ -171,9 +169,7 @@ func TestBufferWrapAndSubCommit(t *testing.T) {
 	// The wrapped buffer still mines to valid records.
 	for _, b := range s.Buffers {
 		if b.Kind == snap.BufMain && b.LastKnown {
-			words := b.Words()
-			span := append(append([]uint32{}, words[b.LastPtr+1:]...), words[:b.LastPtr+1]...)
-			recs := trace.MineBackward(trace.StripSentinels(span))
+			recs, _, _ := recon.MineBuffer(&b)
 			if len(recs) < 5 {
 				t.Errorf("wrapped buffer mined only %d records", len(recs))
 			}

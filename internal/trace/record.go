@@ -171,10 +171,19 @@ func JoinU64(lo, hi Word) uint64 { return uint64(hi)<<32 | uint64(lo) }
 // buffer, or the torn head of the oldest record after wrap-around
 // overwrite.
 func MineBackward(words []Word) []Record {
+	return MineBackwardAt(len(words), func(i int) Word { return words[i] })
+}
+
+// MineBackwardAt is MineBackward over a span of n words read through
+// at (index 0 oldest). It reads only the words it mines, so a caller
+// can hand it a view of a buffer — sub-buffer boundaries skipped and
+// the ring rotated by index arithmetic — and pay for the live records
+// rather than the buffer's capacity.
+func MineBackwardAt(n int, at func(i int) Word) []Record {
 	var out []Record
-	i := len(words) - 1
+	i := n - 1
 	for i >= 0 {
-		w := words[i]
+		w := at(i)
 		switch {
 		case w == Invalid:
 			return out
@@ -197,13 +206,16 @@ func MineBackward(words []Word) []Record {
 			if length < 2 || hi < 0 {
 				return out // torn record: head overwritten
 			}
-			h := words[hi]
+			h := at(hi)
 			if h&dagFlag != 0 || Kind(h>>24) != kind || int(h>>16&0xFF) != length {
 				return out // header does not match trailer: corruption
 			}
 			rec := Record{Kind: kind, Small: uint16(h)}
 			if length > 2 {
-				rec.Payload = append([]Word(nil), words[hi+1:i]...)
+				rec.Payload = make([]Word, length-2)
+				for k := range rec.Payload {
+					rec.Payload[k] = at(hi + 1 + k)
+				}
 			}
 			out = append(out, rec)
 			i = hi - 1
@@ -211,21 +223,6 @@ func MineBackward(words []Word) []Record {
 			// A bare header or payload word with no trailer after it:
 			// the record was torn by buffer wrap. Stop.
 			return out
-		}
-	}
-	return out
-}
-
-// StripSentinels removes sub-buffer boundary sentinels from a span,
-// producing the contiguous record stream (paper §4.1: "sub-buffer
-// boundaries are removed to produce a contiguous span of trace
-// data"). Extended records may legitimately straddle a boundary, so
-// this must run before MineBackward.
-func StripSentinels(words []Word) []Word {
-	out := make([]Word, 0, len(words))
-	for _, w := range words {
-		if w != Sentinel {
-			out = append(out, w)
 		}
 	}
 	return out

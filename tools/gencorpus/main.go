@@ -92,4 +92,53 @@ func main() {
 	// an omitempty slice with a present-but-empty value, a form Save
 	// never emits (canonicalized on first save).
 	write(sdir, "case-insensitive-empty-partners", []byte(`{"pArtners":[]}`))
+
+	// FuzzSnapDecode holds the snap decoder to encoding/json; beside
+	// every committed snap (added by the fuzz target itself) its seeds
+	// are the schema's edge cases.
+	ddir := filepath.Join(root, "internal/snap/testdata/fuzz/FuzzSnapDecode")
+	decodeSeeds := []struct{ name, doc string }{
+		{"escapes", `{"host":"h\u00e9\n\"q\"\\","process":"\ud83d\ude00","reason":"\ud800x\udc00\u0000","modules":[{"name":"\/m","checksum":"\u0041"}]}`},
+		{"invalid-utf8", "{\"host\":\"\xff\xfe ok \xed\xa0\x80\",\"reason\":\"\xc3\"}"},
+		{"nulls", `{"host":null,"pid":null,"modules":null,"buffers":[null,{"raw":null,"kind":null,"lastKnown":null}],"partners":null,"nondet":null}`},
+		{"unknown-nested-keys", `{"extra":{"a":[1,{"b":null}],"c":"d","e":-1.5e-3},"host":"h","buffers":[{"zzz":[[[]]],"raw":"AAAA","more":{"x":true}}]}`},
+		{"duplicate-keys", `{"buffers":[{"kind":1,"raw":"AQID"},{"ownerTid":2}],"buffers":[{"lastPtr":3}],"buffers":[null,null],"nondet":{"v":1,"raw":"AAAA"},"nondet":{"scenario":"s"},"host":"a","host":"b"}`},
+		{"duplicate-byte-arrays", `{"partners":[1,2,3],"partners":[4],"partners":[null,null,null],"modules":[{"dataDump":"AQIDBA=="}],"modules":[{"dataDump":[9,null,null]}]}`},
+		{"case-folded-keys", `{"HOST":"h","pArtners":[],"RunTimeID":5,"proce\u017fs":"p","modules":[{"DAGBASE":7}],"buffers":[{"RAW":"AAAA","\u212aind":2}],"Nondet":{"\u017fcenario":"x"},"ſignal":3}`},
+		{"case-folded-last-wins", `{"Host":"folded","host":"exact","HOST":"folded again"}`},
+		{"uint8-out-of-range", `{"buffers":[{"kind":256}]}`},
+		{"int-out-of-range", `{"pid":9223372036854775808}`},
+		{"int-min", `{"pid":-9223372036854775808,"signal":-0}`},
+		{"uint64-max", `{"runtimeId":18446744073709551615,"time":0}`},
+		{"uint64-out-of-range", `{"runtimeId":18446744073709551616}`},
+		{"uint-negative-zero", `{"buffers":[{"lastPtr":-0}]}`},
+		{"float-on-int", `{"pid":1.0}`},
+		{"exponent-on-uint", `{"time":1e3}`},
+		{"base64-escaped-crlf", `{"buffers":[{"raw":"AAAA\r\nAQID\r\n"}],"modules":[{"dataDump":"AQ\nID"}]}`},
+		{"base64-raw-newline", "{\"buffers\":[{\"raw\":\"AAAA\nAQID\"}]}"},
+		{"base64-padding-mid", `{"buffers":[{"raw":"AA==AAAA"}]}`},
+		{"base64-short", `{"buffers":[{"raw":"AAA"}]}`},
+		{"base64-trailing-bits", `{"buffers":[{"raw":"AB=="},{"raw":"AAB="}]}`},
+		{"base64-bad-char", `{"buffers":[{"raw":"AAAA*AAA"}]}`},
+		{"empty-values", `{"buffers":[{"raw":""}],"modules":[],"partners":[],"host":""}`},
+		{"type-mismatch-string", `{"host":5}`},
+		{"type-mismatch-object", `{"modules":{}}`},
+		{"type-mismatch-nondet", `{"nondet":[]}`},
+		{"type-mismatch-element", `{"buffers":[1]}`},
+		{"top-level-null", `null`},
+		{"top-level-array", `[]`},
+		{"trailing-garbage", `{"host":"h"}garbage`},
+		{"trailing-space", "{\"host\":\"h\"} \n\t\r"},
+		{"trailing-comma", `{"host":"h",}`},
+		{"missing-colon", `{"host" "h"}`},
+		{"leading-zero", `{"pid":01}`},
+		{"bad-escape", `{"host":"a\qb"}`},
+		{"truncated", `{"buffers":[{"raw":"AAAA`},
+		// Fuzzer-found: Unmarshal calls a literal cut short a bad
+		// character, the decoder io.ErrUnexpectedEOF (as json.Decoder).
+		{"truncated-literal", "{\"000\":\"0000000000\",\"0000000\":\"000000000\",\"000\":0,\"000000000\":0,\"000000\":\"00000000000000000000\",\"0000\":0,\"0000000\":[{\"0000\":\"000000\",\"00000000\":\"00000000000000000000000000000000\",\"0000000\":0,\"00000000\":0,\"00000000\":0,\"0000000\":0,\"00000000\":0,\"00000000\":\"00000000000000000000000000000000\"}],\"0000000\": {\"0000\":0,\"00000000\":0,\"0000000\":0,\"000000000\":t"},
+	}
+	for _, s := range decodeSeeds {
+		write(ddir, s.name, []byte(s.doc))
+	}
 }
