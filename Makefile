@@ -151,16 +151,17 @@ test-race:
 	$(GO) test -race ./...
 
 # Bounded fuzz smoke over the trace and snap decoders; the committed
-# seed corpora live under <pkg>/testdata/fuzz/. FuzzSnapDecode's seeds
-# include every committed snap, ~800 KB of JSON each: minimising an
-# input grown from one would stall the run, so its minimisation is
-# capped.
+# seed corpora live under <pkg>/testdata/fuzz/. FuzzSnapDecode's and
+# FuzzSnapEncode's seeds include every committed snap, ~800 KB of JSON
+# each: minimising an input grown from one would stall the run, so
+# their minimisation is capped.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRecordDecode -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzNondetRecordDecode -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapReader -fuzztime $(FUZZTIME) ./internal/snap
 	$(GO) test -run '^$$' -fuzz FuzzSnapDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/snap
+	$(GO) test -run '^$$' -fuzz FuzzSnapEncode -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/snap
 	$(GO) test -run '^$$' -fuzz FuzzMapFileVerify -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -run '^$$' -fuzz FuzzFleetVerify -fuzztime $(FUZZTIME) ./internal/verify/fleet
 	$(GO) test -run '^$$' -fuzz FuzzArchiveIndex -fuzztime $(FUZZTIME) ./internal/archive

@@ -11,9 +11,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,16 +78,10 @@ func main() {
 	}
 	snapN := 0
 	cfg.SnapSink = func(s *snap.Snap) {
-		snapN++
-		path := filepath.Join(*snapDir, fmt.Sprintf("%s-%d.snap.json", s.Process, snapN))
-		f, err := os.Create(path)
+		path, err := writeSnap(*snapDir, &snapN, s)
 		if err != nil {
 			fatal(err)
 		}
-		if err := s.Save(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
 		fmt.Printf("snap: %s (%s)\n", path, s.Reason)
 	}
 
@@ -176,6 +172,42 @@ func main() {
 		f.Close()
 		if err != nil {
 			fatal(err)
+		}
+	}
+}
+
+// writeSnap writes s into dir as <process>-<n>.snap.json, n the first
+// number after *last whose name is free, and leaves that n in *last.
+// The document is written to a dot-prefixed temp file and linked into
+// place, so a tbagent draining dir never reads a partial snap, and a
+// snap an earlier run left there (perhaps not yet uploaded) is never
+// replaced.
+func writeSnap(dir string, last *int, s *snap.Snap) (string, error) {
+	tmp, err := os.CreateTemp(dir, ".tbrun-*")
+	if err != nil {
+		return "", err
+	}
+	defer os.Remove(tmp.Name())
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return "", err
+	}
+	if err := s.Save(tmp); err != nil {
+		tmp.Close()
+		return "", err
+	}
+	if err := tmp.Close(); err != nil {
+		return "", err
+	}
+	for {
+		*last++
+		path := filepath.Join(dir, fmt.Sprintf("%s-%d.snap.json", s.Process, *last))
+		err := os.Link(tmp.Name(), path)
+		if err == nil {
+			return path, nil
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			return "", err
 		}
 	}
 }

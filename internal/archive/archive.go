@@ -12,7 +12,6 @@
 package archive
 
 import (
-	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
@@ -169,14 +168,13 @@ func (a *Archive) blobPath(sum string) string {
 
 // ChecksumSnap computes a snap's content address: SHA-256 over its
 // canonical (uncompressed) JSON, so the key is independent of the
-// compression level the blob happens to be stored at.
+// compression level the blob happens to be stored at. It returns the
+// canonical bytes too, for the caller to store or send. Encoding a snap
+// cannot fail, so err is always nil.
 func ChecksumSnap(s *snap.Snap) (sum string, canonical []byte, err error) {
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		return "", nil, fmt.Errorf("archive: encoding snap: %w", err)
-	}
-	h := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(h[:]), buf.Bytes(), nil
+	canonical = s.Canonical()
+	h := sha256.Sum256(canonical)
+	return hex.EncodeToString(h[:]), canonical, nil
 }
 
 // IngestResult reports what one ingest did.
@@ -194,7 +192,7 @@ type IngestResult struct {
 // Safe for concurrent use; concurrent ingest of identical snaps
 // stores exactly one blob and counts every occurrence.
 func (a *Archive) Ingest(s *snap.Snap, sig Signature) (IngestResult, error) {
-	return a.ingest(s, sig, false)
+	return a.ingest(s, sig, false, "", nil)
 }
 
 // IngestUnique ingests s only if its content is not already resident:
@@ -206,16 +204,26 @@ func (a *Archive) Ingest(s *snap.Snap, sig Signature) (IngestResult, error) {
 // concurrent IngestUnique of the same new content: the residency
 // check happens under the same lock that orders journal appends.
 func (a *Archive) IngestUnique(s *snap.Snap, sig Signature) (IngestResult, error) {
-	return a.ingest(s, sig, true)
+	return a.ingest(s, sig, true, "", nil)
 }
 
-func (a *Archive) ingest(s *snap.Snap, sig Signature, unique bool) (IngestResult, error) {
+// IngestUniqueCanonical is IngestUnique for a caller that already holds
+// ChecksumSnap(s)'s sum and canonical bytes (the collection daemon,
+// which verifies an upload's hash before ingesting it), so the snap is
+// not encoded and hashed a second time. They must be exactly
+// ChecksumSnap's results for s.
+func (a *Archive) IngestUniqueCanonical(s *snap.Snap, sig Signature, sum string, canonical []byte) (IngestResult, error) {
+	return a.ingest(s, sig, true, sum, canonical)
+}
+
+// ingest stores s; canonical nil means the content address is not
+// known yet.
+func (a *Archive) ingest(s *snap.Snap, sig Signature, unique bool, sum string, canonical []byte) (IngestResult, error) {
 	t0 := time.Now()
 	defer func() { a.met.ingestNanos.Observe(uint64(time.Since(t0))) }()
 
-	sum, canonical, err := ChecksumSnap(s)
-	if err != nil {
-		return IngestResult{}, err
+	if canonical == nil {
+		sum, canonical, _ = ChecksumSnap(s)
 	}
 	if unique {
 		// Fast path: already resident means nothing to write or journal.

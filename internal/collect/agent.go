@@ -34,10 +34,7 @@ const quarantineDir = "quarantine"
 // the name is the content hash — which makes local re-spooling as
 // idempotent as the wire protocol above it.
 func Spool(dir string, s *snap.Snap) (string, error) {
-	sum, canonical, err := archive.ChecksumSnap(s)
-	if err != nil {
-		return "", err
-	}
+	sum, canonical, _ := archive.ChecksumSnap(s)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("collect: %w", err)
 	}
@@ -75,8 +72,8 @@ func SpoolForwarder(dir string) func(*snap.Snap) error {
 
 // compressTo gzips the exact canonical bytes the content address was
 // computed over, mirroring the warehouse's blob form.
-func compressTo(f *os.File, canonical []byte) error {
-	zw, err := gzip.NewWriterLevel(f, gzip.BestCompression)
+func compressTo(w io.Writer, canonical []byte) error {
+	zw, err := gzip.NewWriterLevel(w, gzip.BestCompression)
 	if err != nil {
 		return fmt.Errorf("collect: %w", err)
 	}
@@ -259,9 +256,9 @@ func (a *Agent) scan() ([]string, error) {
 type outcome int
 
 const (
-	outCommitted outcome = iota // left the spool (uploaded or dedup-skipped)
-	outRetry                    // transient failure, file stays spooled
-	outQuarantined              // moved aside, never retried
+	outCommitted   outcome = iota // left the spool (uploaded or dedup-skipped)
+	outRetry                      // transient failure, file stays spooled
+	outQuarantined                // moved aside, never retried
 )
 
 // Drain uploads until the spool is empty, retrying failed snaps with
@@ -367,24 +364,20 @@ func (a *Agent) pass(ctx context.Context) (done, remaining int, hint time.Durati
 // processFile pushes one spool entry through the protocol state
 // machine: load → precheck → upload → hash-echo commit.
 func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Duration, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return outCommitted, 0, nil // another drain already took it
 		}
 		return outRetry, 0, err
 	}
-	sn, lerr := snap.LoadAuto(f)
-	f.Close()
+	sn, lerr := snap.LoadAuto(bytes.NewReader(data))
 	if lerr != nil {
 		// Not evidence the wire can carry; park it where a human will
 		// find it instead of spinning on it forever.
 		return a.quarantine(path, fmt.Errorf("unreadable snap: %w", lerr))
 	}
-	sum, _, err := archive.ChecksumSnap(sn)
-	if err != nil {
-		return a.quarantine(path, err)
-	}
+	sum, canonical, _ := archive.ChecksumSnap(sn)
 	base, err := a.targetFor(sum)
 	if err != nil {
 		// Every shard down or draining: spool-and-retry, like a single
@@ -416,11 +409,19 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 		return outRetry, 0, fmt.Errorf("precheck: unexpected status %s", resp.Status)
 	}
 
-	var body bytes.Buffer
-	if err := sn.SaveCompressed(&body); err != nil {
-		return a.quarantine(path, err)
+	// A gzip spool file (Spool's form) is sent byte for byte, not
+	// re-encoded: the daemon re-derives the canonical form and sum from
+	// the body itself. A plain-JSON one (tbrun -snapdir) is gzipped from
+	// the canonical bytes.
+	body := data
+	if !snap.IsGzip(data) {
+		var z bytes.Buffer
+		if err := compressTo(&z, canonical); err != nil {
+			return outRetry, 0, err
+		}
+		body = z.Bytes()
 	}
-	req, err = http.NewRequestWithContext(ctx, http.MethodPost, base+PathSnap, &body)
+	req, err = http.NewRequestWithContext(ctx, http.MethodPost, base+PathSnap, bytes.NewReader(body))
 	if err != nil {
 		return outRetry, 0, err
 	}

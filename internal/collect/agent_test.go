@@ -1,8 +1,11 @@
 package collect
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +17,7 @@ import (
 	"time"
 
 	"traceback/internal/archive"
+	"traceback/internal/snap"
 )
 
 // loopback is a real TCP listener on a kernel-assigned port — unlike
@@ -508,5 +512,152 @@ func TestAgentDrainCancelKeepsSpool(t *testing.T) {
 	}
 	if n := spoolLen(t, spool); n != 0 || journalLen(t, arch) != 1 {
 		t.Fatalf("resume after restart: %d spooled, %d journaled", n, journalLen(t, arch))
+	}
+}
+
+// recordingDaemon answers the precheck with 404 and every upload with
+// the hash echo of the body it decodes; bodies returns the upload
+// bodies so far.
+func recordingDaemon(t *testing.T) (ts *httptest.Server, bodies func() [][]byte) {
+	t.Helper()
+	var (
+		mu   sync.Mutex
+		seen [][]byte
+	)
+	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodHead {
+			w.WriteHeader(http.StatusNotFound)
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		seen = append(seen, body)
+		mu.Unlock()
+		sn, err := snap.LoadAuto(bytes.NewReader(body))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		sum, _, _ := archive.ChecksumSnap(sn)
+		writeJSON(w, http.StatusCreated, UploadResponse{V: 1, Sum: sum})
+	}))
+	t.Cleanup(ts.Close)
+	return ts, func() [][]byte {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen
+	}
+}
+
+func TestAgentUploadsGzipSpoolFileVerbatim(t *testing.T) {
+	ts, bodies := recordingDaemon(t)
+	spool := t.TempDir()
+	path := mustSpool(t, spool, 1)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fastAgent(spool, ts.URL).Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if got := bodies(); len(got) != 1 || !bytes.Equal(got[0], want) {
+		t.Fatalf("%d upload bodies, want the spool file's bytes exactly once", len(got))
+	}
+}
+
+func TestAgentGzipsPlainSpoolFile(t *testing.T) {
+	ts, bodies := recordingDaemon(t)
+	spool := t.TempDir()
+	s := mkSnap("h1", 1)
+	var plain bytes.Buffer
+	if err := s.Save(&plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(spool, "app-1.snap.json"), plain.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := fastAgent(spool, ts.URL).Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	_, canonical, _ := archive.ChecksumSnap(s)
+	var want bytes.Buffer
+	if err := compressTo(&want, canonical); err != nil {
+		t.Fatal(err)
+	}
+	if got := bodies(); len(got) != 1 || !bytes.Equal(got[0], want.Bytes()) {
+		t.Fatalf("%d upload bodies, want the gzip of the canonical bytes exactly once", len(got))
+	}
+}
+
+// TestAgentNonCanonicalGzipSpoolFile: a valid gzip spool file whose
+// JSON is not the canonical form is still sent as it is; the daemon
+// re-derives the canonical form, so the hash echo matches and the
+// warehouse holds exactly what a direct ingest of the snap writes.
+func TestAgentNonCanonicalGzipSpoolFile(t *testing.T) {
+	_, ts, arch := newTestDaemon(t, ServerOptions{})
+	spool := t.TempDir()
+	s := mkSnap("h1", 3)
+	doc, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var z bytes.Buffer
+	if err := compressTo(&z, doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(spool, "indented.snap.json.gz"), z.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a := fastAgent(spool, ts.URL)
+	if err := a.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if n := spoolLen(t, spool); n != 0 || a.met.uploads.Load() != 1 {
+		t.Fatalf("spool holds %d file(s), %d upload(s) committed; want 0 and 1", n, a.met.uploads.Load())
+	}
+
+	direct, err := archive.Open(filepath.Join(t.TempDir(), "direct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	res, err := direct.IngestUnique(s, archive.SignSnap(s, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []*archive.Archive{arch, direct} {
+		if !w.Has(res.Sum) {
+			t.Fatalf("%s does not hold %s", w.Root(), res.Sum)
+		}
+	}
+	blob := func(w *archive.Archive) []byte {
+		rc, _, err := w.OpenBlob(res.Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		b, err := io.ReadAll(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if !bytes.Equal(blob(arch), blob(direct)) {
+		t.Error("daemon blob differs from a direct ingest's")
+	}
+	gotJ, err := os.ReadFile(arch.JournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJ, err := os.ReadFile(direct.JournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJ, wantJ) {
+		t.Errorf("daemon journal differs from a direct ingest's:\n%s\nvs\n%s", gotJ, wantJ)
 	}
 }

@@ -234,11 +234,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.uploadError(w, fmt.Sprintf("unreadable snap: %v", err), http.StatusBadRequest)
 		return
 	}
-	sum, _, err := archive.ChecksumSnap(sn)
-	if err != nil {
-		s.uploadError(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	// The canonical form and hash come from the decoded body, never
+	// from what the client sent: the body is untrusted.
+	sum, canonical, _ := archive.ChecksumSnap(sn)
 	if claimed := r.Header.Get(HeaderSum); claimed != "" && claimed != sum {
 		s.uploadError(w, fmt.Sprintf("content hash mismatch: body is %s, claimed %s", sum, claimed),
 			http.StatusUnprocessableEntity)
@@ -246,7 +244,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sig := archive.SignSnap(sn, s.maps)
-	res, err := s.arch.IngestUnique(sn, sig)
+	res, err := s.arch.IngestUniqueCanonical(sn, sig, sum, canonical)
 	if err != nil {
 		s.uploadError(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -12,7 +12,6 @@
 package replay
 
 import (
-	"bytes"
 	"fmt"
 
 	"traceback/internal/snap"
@@ -103,13 +102,10 @@ func FromSection(sec *snap.NondetLog) (*Log, error) {
 // the byte-identity currency of replay verification. The recording is
 // provenance about the run, not state of it; a replayed run's OWN
 // recording is checked by strict log conformance instead, so the
-// section is excluded from the byte comparison.
+// section is excluded from the byte comparison. Encoding cannot fail,
+// so the error is always nil.
 func StrippedBytes(s *snap.Snap) ([]byte, error) {
 	c := *s
 	c.Nondet = nil
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return c.Canonical(), nil
 }

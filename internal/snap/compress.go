@@ -58,7 +58,7 @@ func LoadAuto(r io.Reader) (*Snap, error) {
 		}
 		return nil, fmt.Errorf("snap: %w", err)
 	}
-	if len(magic) == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
+	if IsGzip(magic) {
 		return loadGzip(br)
 	}
 	s, err := Load(br)
@@ -67,6 +67,10 @@ func LoadAuto(r io.Reader) (*Snap, error) {
 	}
 	return s, nil
 }
+
+// IsGzip reports whether data starts with the gzip magic, the test
+// LoadAuto sniffs its input's form by.
+func IsGzip(data []byte) bool { return len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b }
 
 func loadGzip(br *bufio.Reader) (*Snap, error) {
 	// The archival form is small (a few KB per snap), so read it whole:

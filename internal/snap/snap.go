@@ -9,7 +9,6 @@ package snap
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -185,12 +184,6 @@ func (s *Snap) ModuleForAddr(addr uint64) (ModuleInfo, bool) {
 		}
 	}
 	return ModuleInfo{}, false
-}
-
-// Save writes the snap as JSON.
-func (s *Snap) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(s)
 }
 
 // Load reads a snap: one JSON document, optionally followed by

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"traceback/internal/snap"
 	"traceback/internal/trace"
@@ -140,5 +142,48 @@ func main() {
 	}
 	for _, s := range decodeSeeds {
 		write(ddir, s.name, []byte(s.doc))
+	}
+
+	// FuzzSnapEncode holds Save to encoding/json; beside every committed
+	// snap and FuzzSnapDecode's corpus (added by the fuzz target itself)
+	// its seeds are the encoder's edge cases.
+	edir := filepath.Join(root, "internal/snap/testdata/fuzz/FuzzSnapEncode")
+	encodeSeeds := []struct{ name, doc string }{
+		{"html-and-separators", `{"host":"<a href=\"x\">&amp;</a>","process":"p\u2028q\u2029r","reason":"\u007f\u0000\u001f\b\f\n\r\t\\/","modules":[{"name":"a&b<c>d","checksum":"\u2029"}],"nondet":{"scenario":"<&>"}}`},
+		{"invalid-utf8", "{\"host\":\"\xff\xfe ok \xed\xa0\x80\",\"reason\":\"\xc3\",\"modules\":[{\"name\":\"\xf0\x9f\"}]}"},
+		{"nil-slices", `{"modules":null,"buffers":null,"partners":null,"nondet":{"raw":null}}`},
+		{"empty-slices", `{"modules":[{"dataDump":""}],"buffers":[{"raw":""},{"raw":null},{}],"partners":[],"nondet":{"raw":""}}`},
+		{"omitempty-set", `{"triggerTid":1,"signal":-8,"faultAddr":18446744073709551615,"pid":-9223372036854775808,"partners":[0,18446744073709551615],"modules":[{"unloaded":true,"badDag":true,"dataBase":4294967295,"dataDump":"AA=="}],"nondet":{"v":-1,"wrap":true,"trial":true,"interval":1}}`},
+		{"long-string", `{"host":"` + strings.Repeat(`a<\u2028\u00e9`, 3000) + `"}`},
+	}
+	// Raw lengths that are not multiples of 3, and zero runs that
+	// straddle the encoder's 192-byte chunk boundary.
+	var bufs []snap.BufferDump
+	for _, n := range []int{1, 2, 4, 5, 190, 191, 193, 194, 385} {
+		raw := make([]byte, n)
+		raw[n-1] = 0xff
+		bufs = append(bufs, snap.BufferDump{Raw: raw})
+	}
+	for _, live := range [][]int{{191}, {192}, {190, 194}, {383, 384, 385}, {0, 575}} {
+		raw := make([]byte, 576)
+		for _, i := range live {
+			raw[i] = byte(i)
+		}
+		bufs = append(bufs, snap.BufferDump{Raw: raw})
+	}
+	runs, err := json.Marshal(&snap.Snap{Buffers: bufs})
+	if err != nil {
+		panic(err)
+	}
+	encodeSeeds = append(encodeSeeds, struct{ name, doc string }{"raw-lengths-and-runs", string(runs)})
+	nondet := &snap.Snap{Host: "h", Nondet: &snap.NondetLog{V: 1, Scenario: "crossmachine", Wrap: true, Interval: 5000,
+		Raw: wordsToBytes([]uint32{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7})}}
+	nd, err := json.Marshal(nondet)
+	if err != nil {
+		panic(err)
+	}
+	encodeSeeds = append(encodeSeeds, struct{ name, doc string }{"nondet", string(nd)})
+	for _, s := range encodeSeeds {
+		write(edir, s.name, []byte(s.doc))
 	}
 }
